@@ -26,8 +26,8 @@
 //!    run is then classified straight from the golden trace.
 //!
 //! The campaign integration lives in `socfmea-faultsim` (opt in with
-//! `Campaign::accelerated(true)`); this crate holds the engine itself and
-//! knows nothing about faults models beyond force/pulse/flip hooks.
+//! `Campaign::engine(Engine::Sparse)`); this crate holds the engine itself
+//! and knows nothing about faults models beyond force/pulse/flip hooks.
 
 pub mod golden;
 pub mod sparse;

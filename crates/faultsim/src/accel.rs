@@ -35,7 +35,7 @@ use crate::inject::{
 use socfmea_accel::{GoldenTrace, SparseSim, Topology};
 use socfmea_core::ZoneId;
 use socfmea_netlist::{Logic, NetId, Netlist};
-use socfmea_sim::{Simulator, WordSim};
+use socfmea_sim::Simulator;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -85,16 +85,16 @@ pub(crate) struct AccelContext {
     pub(crate) injected_zones: BTreeSet<ZoneId>,
 }
 
-/// The campaign's execution strategy, fixed at [`Campaign::run`] time:
-/// the baseline lockstep context, the accelerated one, or the bit-parallel
-/// PPSFP one (which keeps a lockstep context around for the collapse
-/// planner and for faults that cannot ride a word lane).
+/// The campaign's shared execution context, fixed at [`Campaign::run`]
+/// time: the lockstep one (monitor-column golden trace) or the accelerated
+/// one. The PPSFP engine runs on the lockstep context — its word-lane
+/// kernel needs no shared state, and faults that cannot ride a word lane
+/// (and the collapse planner) use the lockstep trace.
 ///
 /// [`Campaign::run`]: crate::Campaign::run
 pub(crate) enum ExecContext {
-    Baseline(CampaignContext),
+    Lockstep(CampaignContext),
     Accel(AccelContext),
-    Ppsfp(CampaignContext),
 }
 
 impl ExecContext {
@@ -107,11 +107,10 @@ impl ExecContext {
         checkpoint_interval: usize,
     ) -> ExecContext {
         match engine {
-            Engine::Lockstep => ExecContext::Baseline(prepare_context(env, faults)),
+            Engine::Lockstep | Engine::Ppsfp => ExecContext::Lockstep(prepare_context(env, faults)),
             Engine::Sparse => {
                 ExecContext::Accel(prepare_accel_context(env, faults, checkpoint_interval))
             }
-            Engine::Ppsfp => ExecContext::Ppsfp(prepare_context(env, faults)),
             Engine::Auto => unreachable!("Engine::Auto is resolved before context preparation"),
         }
     }
@@ -119,7 +118,7 @@ impl ExecContext {
     /// Zones the fault list targets (drives the coverage collection).
     pub(crate) fn injected_zones(&self) -> &BTreeSet<ZoneId> {
         match self {
-            ExecContext::Baseline(c) | ExecContext::Ppsfp(c) => &c.injected_zones,
+            ExecContext::Lockstep(c) => &c.injected_zones,
             ExecContext::Accel(a) => &a.injected_zones,
         }
     }
@@ -127,16 +126,8 @@ impl ExecContext {
     /// The per-worker sparse kernel, if this context is accelerated.
     pub(crate) fn make_sparse<'c>(&'c self, netlist: &'c Netlist) -> Option<SparseSim<'c>> {
         match self {
-            ExecContext::Baseline(_) | ExecContext::Ppsfp(_) => None,
+            ExecContext::Lockstep(_) => None,
             ExecContext::Accel(a) => Some(SparseSim::new(netlist, &a.topo, &a.trace)),
-        }
-    }
-
-    /// The per-worker word-level kernel, if this context is PPSFP.
-    pub(crate) fn make_word<'c>(&self, netlist: &'c Netlist) -> Option<WordSim<'c>> {
-        match self {
-            ExecContext::Baseline(_) | ExecContext::Accel(_) => None,
-            ExecContext::Ppsfp(_) => Some(WordSim::new(netlist).expect("levelizable netlist")),
         }
     }
 
@@ -145,7 +136,7 @@ impl ExecContext {
     /// reproduce the SENS monitor's target-excitation check).
     pub(crate) fn golden_value(&self, cycle: usize, net: NetId) -> Logic {
         match self {
-            ExecContext::Baseline(c) | ExecContext::Ppsfp(c) => c.golden_target(cycle, net),
+            ExecContext::Lockstep(c) => c.golden_target(cycle, net),
             ExecContext::Accel(a) => a.trace.value(cycle, net),
         }
     }
@@ -156,7 +147,7 @@ impl ExecContext {
     /// monitor lookups.
     pub(crate) fn approx_bytes(&self, env: &Environment<'_>) -> usize {
         match self {
-            ExecContext::Baseline(c) | ExecContext::Ppsfp(c) => c.approx_bytes(),
+            ExecContext::Lockstep(c) => c.approx_bytes(),
             ExecContext::Accel(a) => {
                 a.trace.matrix_bytes() + a.trace.checkpoint_bytes() + env.netlist.net_count() * 16
             }
@@ -216,7 +207,7 @@ pub(crate) fn simulate_dispatch(
         // Under PPSFP, batchable stuck-ats never reach this dispatcher (the
         // campaign routes them through `ppsfp::simulate_batch`); whatever is
         // left falls back to the lockstep path, fault by fault.
-        ExecContext::Baseline(c) | ExecContext::Ppsfp(c) => {
+        ExecContext::Lockstep(c) => {
             let fo = simulate_one(env, c, sim, fault_index, fault, cancel);
             let metrics = FaultMetrics {
                 simulated: env.workload.len() as u64,

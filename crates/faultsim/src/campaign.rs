@@ -10,8 +10,10 @@
 //! [`Campaign`] delivers both. Worker threads claim fixed-size chunks of
 //! the fault list and simulate them against a shared golden trace, each on
 //! its own [`Simulator`] (cloned once via [`Simulator::clone_fresh`], reset
-//! — not re-levelized — between faults). Finished chunks stream back over a
-//! channel and are committed **strictly in fault-list order**; coverage
+//! — not re-levelized — between faults). One driver serves every thread
+//! count: a lone worker runs on the calling thread, several stream their
+//! finished chunks back over a channel, and either way chunks are
+//! committed **strictly in fault-list order**; coverage
 //! recording and the early-stop check only ever run on committed, in-order
 //! outcomes. The result is therefore a pure function of `(environment,
 //! fault list)` — bit-identical for any thread count, chunk size or
@@ -245,7 +247,7 @@ impl CampaignStats {
     // use `SeqCst`, so at every instant
     //   done + collapsed <= sum(class tallies) <= done + collapsed + in-flight
     // — the invariant `consistent_counts` relies on.
-    fn record(&self, outcome: Outcome, metrics: &FaultMetrics, nanos: u64) {
+    fn tally(&self, outcome: Outcome) {
         match outcome {
             Outcome::NoEffect => &self.no_effect,
             Outcome::SafeDetected => &self.safe_detected,
@@ -253,6 +255,10 @@ impl CampaignStats {
             Outcome::DangerousUndetected => &self.dangerous_undetected,
         }
         .fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn record(&self, outcome: Outcome, metrics: &FaultMetrics, nanos: u64) {
+        self.tally(outcome);
         self.cycles_simulated
             .fetch_add(metrics.simulated, Ordering::Relaxed);
         self.cycles_skipped
@@ -273,13 +279,7 @@ impl CampaignStats {
     /// advance (the fault *is* classified), but `done` does not — nothing
     /// was simulated.
     fn record_annotated(&self, outcome: Outcome) {
-        match outcome {
-            Outcome::NoEffect => &self.no_effect,
-            Outcome::SafeDetected => &self.safe_detected,
-            Outcome::DangerousDetected => &self.dangerous_detected,
-            Outcome::DangerousUndetected => &self.dangerous_undetected,
-        }
-        .fetch_add(1, Ordering::SeqCst);
+        self.tally(outcome);
         self.collapsed.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -287,13 +287,7 @@ impl CampaignStats {
     /// (the fault *is* classified), but `done` does not — nothing was
     /// simulated.
     fn record_pruned(&self, outcome: Outcome, kind: ProofKind) {
-        match outcome {
-            Outcome::NoEffect => &self.no_effect,
-            Outcome::SafeDetected => &self.safe_detected,
-            Outcome::DangerousDetected => &self.dangerous_detected,
-            Outcome::DangerousUndetected => &self.dangerous_undetected,
-        }
-        .fetch_add(1, Ordering::SeqCst);
+        self.tally(outcome);
         match kind {
             ProofKind::ConstantSite => &self.pruned_constant,
             ProofKind::NoPathToMonitor => &self.pruned_no_path,
@@ -753,6 +747,10 @@ struct FaultTelemetry {
     shard: u64,
 }
 
+/// One simulated chunk of the simulation order, in order, on its way to
+/// the merge.
+type SimulatedChunk = Vec<(FaultOutcome, FaultTelemetry)>;
+
 /// Pre-resolved observability handles for the campaign's hot path: one
 /// registry lookup per instrument at `run` start instead of one per fault.
 struct ObsHooks<'o> {
@@ -1090,27 +1088,12 @@ impl<'a> Campaign<'a> {
                 &built
             }
         };
-        let ctx = &art.ctx;
-        let (plan, prune_plan) = (&art.collapse_plan, &art.prune_plan);
-        // The simulation schedule: representatives only under collapsing,
-        // every unpruned fault otherwise. Outcomes are still committed for
-        // the full list, in fault-list order, by `commit_expanded`.
-        let order: Vec<usize> = match (plan, prune_plan) {
-            (Some(p), _) => p.sim_order.clone(),
-            (None, Some(pp)) => (0..self.faults.len()).filter(|&i| !pp.pruned(i)).collect(),
-            (None, None) => (0..self.faults.len()).collect(),
-        };
         let hooks = self.observer.map(ObsHooks::new);
-        let mut coverage = CoverageCollection::new(ctx.injected_zones().iter().copied());
+        let mut coverage = CoverageCollection::new(art.ctx.injected_zones().iter().copied());
         self.stats.begin(self.faults.len(), self.threads);
         let outcomes = {
             let _campaign_span = self.observer.map(|obs| obs.span("campaign"));
-            let plans = (plan.as_ref(), prune_plan.as_ref());
-            if self.threads == 1 {
-                self.run_serial(ctx, plans, &order, &mut coverage, hooks.as_ref())
-            } else {
-                self.run_sharded(ctx, plans, &order, &mut coverage, hooks.as_ref())
-            }
+            self.drive(art, &mut coverage, hooks.as_ref())
         };
         if self.is_cancelled() {
             self.stats.cancel();
@@ -1290,9 +1273,9 @@ impl<'a> Campaign<'a> {
     /// per verdict, and returns the outcomes with their telemetry in slice
     /// order. Under PPSFP, the slice's batchable stuck-ats share word-level
     /// batches of up to [`FAULT_LANES`]; everything else goes through the
-    /// per-fault dispatcher. A set `stop` flag (sharded runs: the merged
-    /// result is already complete) aborts between simulations — the
-    /// returned prefix is then never committed.
+    /// per-fault dispatcher. A set `stop` flag (the merged result is
+    /// already complete) aborts between simulations — the returned prefix
+    /// is then never committed.
     #[allow(clippy::too_many_arguments)]
     fn simulate_slice(
         &self,
@@ -1302,10 +1285,10 @@ impl<'a> Campaign<'a> {
         word: Option<&mut WordSim<'_>>,
         slice: &[usize],
         shard: u64,
-        stop: Option<&AtomicBool>,
-    ) -> Vec<(FaultOutcome, FaultTelemetry)> {
+        stop: &AtomicBool,
+    ) -> SimulatedChunk {
         let cancel = self.cancel.as_deref();
-        let stopped = || stop.is_some_and(|s| s.load(Ordering::Relaxed)) || self.is_cancelled();
+        let stopped = || stop.load(Ordering::Relaxed) || self.is_cancelled();
         let mut slots: Vec<Option<(FaultOutcome, FaultTelemetry)>> =
             (0..slice.len()).map(|_| None).collect();
         if let Some(word) = word {
@@ -1405,153 +1388,147 @@ impl<'a> Campaign<'a> {
         results
     }
 
-    fn run_serial(
+    /// The campaign driver for every thread count: workers claim chunks of
+    /// the simulation order, simulate them, and hand them to one merge that
+    /// commits strictly in fault-list order.
+    ///
+    /// A lone worker runs on the calling thread, claims chunks in
+    /// fault-list order and commits each as soon as it is simulated; its
+    /// chunk is one fault (one word of lanes under PPSFP), so records
+    /// stream fault by fault. Several workers run on scoped threads, claim
+    /// [`chunk`](Self::chunk)-sized chunks in seed-shuffled order and send
+    /// them back to the calling thread, whose merge buffers early finishers
+    /// until their turn.
+    fn drive(
         &self,
-        ctx: &ExecContext,
-        plans: (Option<&CollapsePlan>, Option<&PrunePlan>),
-        order: &[usize],
+        art: &CampaignArtifacts,
         coverage: &mut CoverageCollection,
         hooks: Option<&ObsHooks<'_>>,
     ) -> Vec<FaultOutcome> {
-        let _shard_span = hooks.map(|h| h.obs.shard_span("campaign/shard", 0));
-        let mut sim = Simulator::new(self.env.netlist).expect("levelizable netlist");
-        let mut sparse = ctx.make_sparse(self.env.netlist);
-        let mut word = ctx.make_word(self.env.netlist);
-        let step = if word.is_some() { FAULT_LANES } else { 1 };
-        let mut outcomes = Vec::with_capacity(self.faults.len());
-        // Leading pruned faults precede the first simulated commit (an
-        // all-pruned list never simulates at all).
-        if self.expand_annotated(plans, coverage, &mut outcomes, hooks) {
-            return outcomes;
-        }
-        'order: for slice in order.chunks(step) {
-            if self.is_cancelled() {
-                break;
-            }
-            let results = self.simulate_slice(
-                ctx,
-                &mut sim,
-                sparse.as_mut(),
-                word.as_mut(),
-                slice,
-                0,
-                None,
-            );
-            for (fo, tel) in results {
-                if self.commit_expanded(plans, coverage, &mut outcomes, fo, &tel, hooks) {
-                    break 'order;
-                }
-            }
-        }
-        outcomes
-    }
-
-    fn run_sharded(
-        &self,
-        ctx: &ExecContext,
-        plans: (Option<&CollapsePlan>, Option<&PrunePlan>),
-        order: &[usize],
-        coverage: &mut CoverageCollection,
-        hooks: Option<&ObsHooks<'_>>,
-    ) -> Vec<FaultOutcome> {
+        let ctx = &art.ctx;
+        let plans = (art.collapse_plan.as_ref(), art.prune_plan.as_ref());
+        // The simulation schedule: representatives only under collapsing,
+        // every unpruned fault otherwise. Outcomes are still committed for
+        // the full list, in fault-list order, by `commit_expanded`.
+        let order: Vec<usize> = match plans {
+            (Some(p), _) => p.sim_order.clone(),
+            (None, Some(pp)) => (0..self.faults.len()).filter(|&i| !pp.pruned(i)).collect(),
+            (None, None) => (0..self.faults.len()).collect(),
+        };
         let n = order.len();
-        // PPSFP wants whole words per claim: a chunk below FAULT_LANES
-        // would cap every batch at the chunk size and waste lanes.
-        let base_word = ctx.make_word(self.env.netlist);
-        let chunk = if base_word.is_some() {
-            self.chunk.max(FAULT_LANES)
-        } else {
-            self.chunk
+        let base = Simulator::new(self.env.netlist).expect("levelizable netlist");
+        let base_word = (art.engine == Engine::Ppsfp)
+            .then(|| WordSim::new(self.env.netlist).expect("levelizable netlist"));
+        // A lone worker claims the smallest chunk, so each record commits
+        // as soon as it is known. PPSFP wants whole words per claim: a
+        // chunk below FAULT_LANES would cap every batch at the chunk size
+        // and waste lanes.
+        let chunk = match (self.threads, base_word.is_some()) {
+            (1, true) => FAULT_LANES,
+            (1, false) => 1,
+            (_, true) => self.chunk.max(FAULT_LANES),
+            (_, false) => self.chunk,
         };
         let n_chunks = n.div_ceil(chunk);
-        // The seed shuffles only the order in which workers claim chunks.
+        let workers = self.threads.min(n_chunks).max(1);
+        // The seed shuffles only the order in which several workers claim
+        // chunks; a lone worker claims them in fault-list order.
         let mut claim_order: Vec<usize> = (0..n_chunks).collect();
-        claim_order.shuffle(&mut StdRng::seed_from_u64(self.seed));
-
+        if workers > 1 {
+            claim_order.shuffle(&mut StdRng::seed_from_u64(self.seed));
+        }
         let next_claim = AtomicUsize::new(0);
+        // Set once the merged result is complete; no further chunk can be
+        // needed.
         let stop = AtomicBool::new(false);
-        let base = Simulator::new(self.env.netlist).expect("levelizable netlist");
-        let (tx, rx) = mpsc::channel::<(usize, Vec<(FaultOutcome, FaultTelemetry)>)>();
+
+        // The worker body: claim, simulate, deliver — until every chunk is
+        // claimed, the merge is done, or a delivery is refused.
+        let work = |shard: usize, deliver: &mut dyn FnMut(usize, SimulatedChunk) -> bool| {
+            let _shard_span = hooks.map(|h| h.obs.shard_span("campaign/shard", shard as u64));
+            let mut sim = base.clone_fresh();
+            let mut sparse = ctx.make_sparse(self.env.netlist);
+            // cloning shares the levelization; each batch resets the
+            // dynamic state anyway
+            let mut word = base_word.clone();
+            while !stop.load(Ordering::Relaxed) {
+                let claim = next_claim.fetch_add(1, Ordering::Relaxed);
+                let Some(&ci) = claim_order.get(claim) else {
+                    return;
+                };
+                let slice = &order[ci * chunk..(ci * chunk + chunk).min(n)];
+                let simulated = self.simulate_slice(
+                    ctx,
+                    &mut sim,
+                    sparse.as_mut(),
+                    word.as_mut(),
+                    slice,
+                    shard as u64,
+                    &stop,
+                );
+                if !deliver(ci, simulated) {
+                    return;
+                }
+            }
+        };
+
         let mut outcomes = Vec::with_capacity(self.faults.len());
         // Leading pruned faults precede the first simulated commit (an
         // all-pruned list never simulates at all).
         if self.expand_annotated(plans, coverage, &mut outcomes, hooks) {
             return outcomes;
         }
-
-        std::thread::scope(|scope| {
-            for shard in 0..self.threads.min(n_chunks.max(1)) {
-                let tx = tx.clone();
-                let (base, base_word, claim_order, next_claim, stop) =
-                    (&base, &base_word, &claim_order, &next_claim, &stop);
-                scope.spawn(move || {
-                    let _shard_span =
-                        hooks.map(|h| h.obs.shard_span("campaign/shard", shard as u64));
-                    let mut sim = base.clone_fresh();
-                    let mut sparse = ctx.make_sparse(self.env.netlist);
-                    // cloning shares the levelization; each batch resets
-                    // the dynamic state anyway
-                    let mut word = base_word.clone();
-                    loop {
-                        // A set stop flag means the result is already
-                        // fully committed; no further chunk can be needed.
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let claim = next_claim.fetch_add(1, Ordering::Relaxed);
-                        if claim >= claim_order.len() {
-                            return;
-                        }
-                        let ci = claim_order[claim];
-                        let lo = ci * chunk;
-                        let hi = (lo + chunk).min(n);
-                        let chunk_out = self.simulate_slice(
-                            ctx,
-                            &mut sim,
-                            sparse.as_mut(),
-                            word.as_mut(),
-                            &order[lo..hi],
-                            shard as u64,
-                            Some(stop),
-                        );
-                        if tx.send((ci, chunk_out)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-
-            // Deterministic merge: buffer out-of-order chunks, commit
-            // strictly in fault-list order. Trace records are emitted here,
-            // on the merge thread, so their file order matches fault-list
-            // order for any thread count.
-            let mut pending: BTreeMap<usize, Vec<(FaultOutcome, FaultTelemetry)>> = BTreeMap::new();
-            let mut next_commit = 0usize;
-            'merge: for (ci, chunk_out) in rx.iter() {
-                pending.insert(ci, chunk_out);
-                while let Some(chunk_out) = pending.remove(&next_commit) {
-                    // A cancelled worker sends a short chunk: commit its
-                    // in-order prefix, then stop — everything past the hole
-                    // must stay uncommitted.
-                    let expected = (next_commit * chunk + chunk).min(n) - next_commit * chunk;
-                    let partial = chunk_out.len() < expected;
-                    next_commit += 1;
-                    for (fo, tel) in chunk_out {
-                        if self.commit_expanded(plans, coverage, &mut outcomes, fo, &tel, hooks) {
-                            stop.store(true, Ordering::Relaxed);
-                            break 'merge;
-                        }
-                    }
-                    if partial {
+        // Deterministic merge: buffer out-of-order chunks, commit strictly
+        // in fault-list order, and report (setting `stop`) once the result
+        // is complete. Trace records are emitted here, on the calling
+        // thread, so their file order matches fault-list order for any
+        // thread count.
+        let mut pending: BTreeMap<usize, SimulatedChunk> = BTreeMap::new();
+        let mut next_commit = 0usize;
+        let mut merge = |ci: usize, simulated: SimulatedChunk| -> bool {
+            pending.insert(ci, simulated);
+            while let Some(simulated) = pending.remove(&next_commit) {
+                // A cancelled worker delivers a short chunk: commit its
+                // in-order prefix, then stop — everything past the hole
+                // must stay uncommitted.
+                let expected = (next_commit * chunk + chunk).min(n) - next_commit * chunk;
+                let partial = simulated.len() < expected;
+                next_commit += 1;
+                for (fo, tel) in simulated {
+                    if self.commit_expanded(plans, coverage, &mut outcomes, fo, &tel, hooks) {
                         stop.store(true, Ordering::Relaxed);
-                        break 'merge;
+                        return true;
                     }
                 }
+                if partial {
+                    stop.store(true, Ordering::Relaxed);
+                    return true;
+                }
             }
-            // Receiver drops here; workers still sending see a closed
-            // channel and exit. The scope joins them before returning.
-        });
+            false
+        };
+
+        if workers == 1 {
+            work(0, &mut |ci, simulated| !merge(ci, simulated));
+        } else {
+            let (tx, rx) = mpsc::channel();
+            std::thread::scope(|scope| {
+                for shard in 0..workers {
+                    let (tx, work) = (tx.clone(), &work);
+                    scope.spawn(move || {
+                        work(shard, &mut |ci, simulated| tx.send((ci, simulated)).is_ok());
+                    });
+                }
+                drop(tx);
+                for (ci, simulated) in rx.iter() {
+                    if merge(ci, simulated) {
+                        break;
+                    }
+                }
+                // Workers see `stop` and exit after their current chunk;
+                // the scope joins them before returning.
+            });
+        }
         outcomes
     }
 }

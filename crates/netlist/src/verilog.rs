@@ -409,7 +409,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
     // through flip-flops is legal: create every flip-flop as a placeholder
     // first, then gates in dependency order (iterate until fixpoint; a
     // leftover means a reference to an undeclared/undriven net or a
-    // combinational cycle, which we then surface through dedicated nets).
+    // combinational cycle, each reported with its own message).
     let is_dff = |p: &str| matches!(p, "dff" | "dffe" | "dffr" | "dffre");
     let base_of = |n: &str| crate::netlist::split_bit_suffix(n).0.to_owned();
     for inst in instances.iter().filter(|i| is_dff(i.prim.as_str())) {
@@ -421,6 +421,15 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
             return Err(ParseVerilogError {
                 line: inst.line,
                 message: format!("flip-flop output `{q}` not declared"),
+            });
+        }
+        if created.contains_key(q) {
+            return Err(ParseVerilogError {
+                line: inst.line,
+                message: format!(
+                    "flip-flop `{}` drives `{q}`, already driven by another flip-flop",
+                    inst.name
+                ),
             });
         }
         let net = builder.dff_placeholder(q.clone());
@@ -484,7 +493,46 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
             break;
         }
     }
-    if let Some(inst) = remaining.first() {
+    // A leftover instance that no other leftover can unblock is the root
+    // cause; when every leftover only waits on another one's output, the
+    // waits form a combinational loop.
+    let pending: HashMap<&String, &Instance> = remaining.iter().map(|i| (&i.args[0], *i)).collect();
+    let stuck = remaining.iter().find(|inst| {
+        GateKind::from_verilog_name(&inst.prim).is_none()
+            || inst.args.len() < 2
+            || inst.args[1..]
+                .iter()
+                .any(|a| !created.contains_key(a) && !pending.contains_key(a))
+    });
+    if let (None, Some(&first)) = (stuck, remaining.first()) {
+        // Walk the waits from the first leftover until a net repeats.
+        let mut walk: Vec<(&String, &Instance)> = Vec::new();
+        let mut inst = first;
+        loop {
+            let net = inst.args[1..]
+                .iter()
+                .find(|a| !created.contains_key(*a))
+                .expect("a leftover instance waits on a net");
+            if let Some(start) = walk.iter().position(|(n, _)| *n == net) {
+                let ring = &walk[start..];
+                let nets: Vec<&str> = ring
+                    .iter()
+                    .chain(&ring[..1])
+                    .map(|(n, _)| n.as_str())
+                    .collect();
+                return Err(ParseVerilogError {
+                    line: ring[0].1.line,
+                    message: format!(
+                        "combinational loop through {} leaves its nets undriven",
+                        nets.join(" -> ")
+                    ),
+                });
+            }
+            walk.push((net, inst));
+            inst = pending[net];
+        }
+    }
+    if let Some(inst) = stuck {
         let unknown_prim = GateKind::from_verilog_name(&inst.prim).is_none();
         let msg = if unknown_prim {
             format!("unknown primitive `{}`", inst.prim)
@@ -766,6 +814,32 @@ mod tests {
             endmodule";
         let err = parse_verilog(src).unwrap_err();
         assert!(err.message.contains("ghost"));
+    }
+
+    #[test]
+    fn second_flip_flop_on_one_net_is_an_error() {
+        let src = "module m(a, y);\ninput a; output y;\ndff r(y, a);\ndff r2(y, a);\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.line, 4, "cites the second instance: {err}");
+        assert!(err.message.contains("`r2`"), "{err}");
+        assert!(err.message.contains("already driven"), "{err}");
+    }
+
+    #[test]
+    fn combinational_loop_is_named_as_such() {
+        let src = "module m(a, y);\ninput a; output y;\nwire w;\nand g1(w, a, y);\nbuf g2(y, w);\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(
+            err.message
+                .starts_with("combinational loop through y -> w -> y"),
+            "{err}"
+        );
+        // a loop fed by an undriven net reports the undriven net instead
+        let src = "module m(a, y);\ninput a; output y;\nwire w;\nand g1(w, a, y);\nand g2(y, w, ghost);\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.line, 5);
+        assert!(err.message.contains("ghost"), "{err}");
     }
 
     #[test]

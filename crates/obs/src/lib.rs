@@ -29,8 +29,7 @@
 //! * [`profile`] — self-time attribution over the span tree
 //!   ([`Profile`]): folded-stack flamegraph export and profile diffing
 //!   for `socfmea trace flame|diff`,
-//! * [`json`] — the minimal JSON codec backing all of the above,
-//! * [`chan`] — the bounded MPSC channel backing the sink.
+//! * [`json`] — the minimal JSON codec backing all of the above.
 //!
 //! Correlated telemetry: a [`TraceCtx`] minted at the system boundary
 //! (the campaign server's HTTP accept) rides the [`Observer`] through
@@ -38,7 +37,6 @@
 //! records, while the deterministic result stream flows on a separate
 //! channel — see [`observer`] for the routing rules.
 
-pub mod chan;
 pub mod json;
 pub mod metrics;
 pub mod observer;

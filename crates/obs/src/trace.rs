@@ -20,10 +20,10 @@
 //! deterministic merge, so their order in the file is fault-list order for
 //! any thread count; only `shard` and `nanos` are wall-clock-dependent.
 
-use crate::chan::{bounded, Receiver, Sender};
 use crate::json::Value;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -363,21 +363,30 @@ impl Drop for StreamWriter {
 pub type EventMap = Box<dyn FnMut(TraceEvent) -> Option<TraceEvent> + Send>;
 
 /// A JSONL sink writing trace events on a dedicated thread.
+///
+/// The queue is std's bounded [`sync_channel`]: [`SyncSender`] is
+/// `Send + Sync`, so scoped campaign workers can emit through a shared
+/// `&TraceSink`, and a stalled writer back-pressures producers instead of
+/// buffering without limit. Each sender's events keep their order, which
+/// keeps per-fault records in committed (fault-list) order: the campaign's
+/// merge enqueues them all from one thread. Events travel boxed because
+/// the channel allocates all `SINK_CAPACITY` slots up front: unboxed, a
+/// slot holds a whole `TraceEvent` (over 200 bytes), about 1 MB per sink.
 pub struct TraceSink {
-    tx: Sender<TraceEvent>,
+    tx: SyncSender<Box<TraceEvent>>,
     writer: JoinHandle<io::Result<()>>,
 }
 
 fn drain(
-    rx: &Receiver<TraceEvent>,
+    rx: Receiver<Box<TraceEvent>>,
     mut out: Box<dyn Write + Send>,
     mut map: Option<EventMap>,
 ) -> io::Result<()> {
     let mut line = String::new();
-    while let Some(ev) = rx.recv() {
+    for ev in rx {
         let Some(ev) = (match map.as_mut() {
-            Some(f) => f(ev),
-            None => Some(ev),
+            Some(f) => f(*ev),
+            None => Some(*ev),
         }) else {
             continue;
         };
@@ -403,9 +412,7 @@ impl TraceSink {
 
     /// A sink over any writer (tests capture into a shared buffer).
     pub fn to_writer(out: Box<dyn Write + Send>) -> TraceSink {
-        let (tx, rx) = bounded::<TraceEvent>(SINK_CAPACITY);
-        let writer = std::thread::spawn(move || drain(&rx, out, None));
-        TraceSink { tx, writer }
+        TraceSink::spawn(out, None)
     }
 
     /// A sink that rewrites each event through `map` (on the writer
@@ -413,8 +420,12 @@ impl TraceSink {
     /// The campaign server uses this to strip wall-clock-dependent fields
     /// so streamed traces are deterministic.
     pub fn to_writer_mapped(out: Box<dyn Write + Send>, map: EventMap) -> TraceSink {
-        let (tx, rx) = bounded::<TraceEvent>(SINK_CAPACITY);
-        let writer = std::thread::spawn(move || drain(&rx, out, Some(map)));
+        TraceSink::spawn(out, Some(map))
+    }
+
+    fn spawn(out: Box<dyn Write + Send>, map: Option<EventMap>) -> TraceSink {
+        let (tx, rx) = sync_channel(SINK_CAPACITY);
+        let writer = std::thread::spawn(move || drain(rx, out, map));
         TraceSink { tx, writer }
     }
 
@@ -424,7 +435,7 @@ impl TraceSink {
     /// are silently dropped (the error surfaces from
     /// [`finish`](Self::finish)).
     pub fn emit(&self, ev: TraceEvent) {
-        let _ = self.tx.send(ev);
+        let _ = self.tx.send(Box::new(ev));
     }
 
     /// Closes the queue, joins the writer, and surfaces any I/O error.
@@ -540,6 +551,63 @@ mod tests {
             .map(|l| parse(l).unwrap().get("i").unwrap().as_u64().unwrap())
             .collect();
         assert_eq!(indices, (0..100).collect::<Vec<_>>());
+    }
+
+    /// A writer that accepts `lines` writes, then fails every write.
+    struct FailingWriter {
+        lines: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.lines == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            self.lines -= 1;
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_error_neither_blocks_emitters_nor_goes_unreported() {
+        let sink = TraceSink::to_writer(Box::new(FailingWriter { lines: 3 }));
+        // more events than the queue holds: once the writer has failed,
+        // emits must drop their events instead of waiting for room
+        for i in 0..(SINK_CAPACITY as u64 + 100) {
+            sink.emit(TraceEvent::Fault(sample_fault(i)));
+        }
+        let err = sink.finish().expect_err("the write error surfaces");
+        assert_eq!(err.to_string(), "disk full");
+    }
+
+    #[test]
+    fn concurrent_emitters_lose_nothing_and_keep_their_own_order() {
+        const PER_THREAD: u64 = 2500;
+        let buf = SharedBuf::default();
+        let sink = TraceSink::to_writer(Box::new(buf.clone()));
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let sink = &sink;
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        sink.emit(TraceEvent::Fault(sample_fault(t * PER_THREAD + i)));
+                    }
+                });
+            }
+        });
+        sink.finish().expect("writer ok");
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let mut per_thread = vec![Vec::new(); 4];
+        for line in text.lines() {
+            let i = parse(line).unwrap().get("i").unwrap().as_u64().unwrap();
+            per_thread[(i / PER_THREAD) as usize].push(i % PER_THREAD);
+        }
+        for seen in &per_thread {
+            assert_eq!(*seen, (0..PER_THREAD).collect::<Vec<_>>());
+        }
     }
 
     #[test]

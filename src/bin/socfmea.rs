@@ -34,7 +34,6 @@
 //!   --seed <s>                 fault-list sampling seed
 //!   --cycles <n>               synthetic workload length in cycles
 //!   --engine <e>               campaign engine (auto|lockstep|sparse|ppsfp)
-//!   --accel                    deprecated alias for --engine sparse
 //!   --checkpoint-interval <n>  golden-trace checkpoint spacing (sparse)
 //!   --collapse                 simulate one representative per equivalence
 //!                              class, back-annotate the rest
@@ -785,6 +784,10 @@ fn main() -> ExitCode {
         Command::Watch(o) => run_watch(o),
         Command::Cancel(o) => run_job_query(o, |c, j| c.cancel(j)),
         Command::Shutdown(o) => run_shutdown(o),
+        Command::Help => {
+            println!("{}", cli::USAGE);
+            Ok(())
+        }
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,

@@ -13,7 +13,8 @@
 //! * `socfmea serve` → [`ServeOptions`],
 //! * `socfmea submit [<netlist.v>]` → [`SubmitOptions`],
 //! * `socfmea status|watch|cancel <job>` → [`JobRefOptions`],
-//! * `socfmea shutdown` → [`ShutdownOptions`].
+//! * `socfmea shutdown` → [`ShutdownOptions`],
+//! * `socfmea help|--help|-h` → [`Command::Help`].
 //!
 //! [`parse`] turns `std::env::args` (minus the program name) into a
 //! [`Command`]; errors carry a message for stderr, and the caller prints
@@ -26,7 +27,7 @@ use socfmea_iec61508::{ComponentClass, Hft, Sil, SubsystemType};
 /// The default campaign-server address.
 pub const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7171";
 
-/// The usage string printed on argument errors.
+/// The usage string, printed on argument errors and by `socfmea help`.
 pub const USAGE: &str = "usage: socfmea <zones|analyze|inject|lint|trace|serve|submit|status|watch|cancel|shutdown> [<netlist.v>] [options]
   zones   <netlist.v>   list the extracted sensible zones
   analyze <netlist.v>   run the FMEA with per-zone testability tables
@@ -69,7 +70,6 @@ inject options:
                              ppsfp); every engine yields the bit-identical
                              result (default: auto — ppsfp for all-stuck-at
                              lists, sparse otherwise)
-  --accel                    deprecated alias for --engine sparse
   --checkpoint-interval <n>  golden-trace checkpoint spacing for the sparse
                              engine (default: 16)
   --collapse                 simulate one representative per equivalence
@@ -142,6 +142,8 @@ pub enum Command {
     Cancel(JobRefOptions),
     /// `socfmea shutdown`.
     Shutdown(ShutdownOptions),
+    /// `socfmea help`, `--help` or `-h`: print [`USAGE`].
+    Help,
 }
 
 /// Options of `socfmea serve`.
@@ -391,6 +393,9 @@ pub fn default_threads() -> usize {
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let command = it.next().ok_or("missing command")?.clone();
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
 
     // option validity per subcommand
     let is_analyze = command == "analyze";
@@ -573,8 +578,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown engine `{other}`")),
                 };
             }
-            // deprecated alias, kept so existing scripts continue to work
-            "--accel" if is_inject => engine = Engine::Sparse,
             "--collapse" if is_inject || is_submit => collapse = Collapse::Dictionary,
             "--prune" if is_inject || is_submit => prune = Prune::Static,
             "--checkpoint-interval" if is_inject || is_submit => {
@@ -1041,12 +1044,8 @@ mod tests {
     }
 
     #[test]
-    fn inject_accel_is_a_deprecated_alias_for_engine_sparse() {
-        let cmd = parse(&argv(&["inject", "d.v", "--accel"])).unwrap();
-        let Command::Inject(o) = cmd else {
-            panic!("inject expected")
-        };
-        assert_eq!(o.engine, Engine::Sparse);
+    fn inject_rejects_the_removed_accel_alias() {
+        assert!(parse(&argv(&["inject", "d.v", "--accel"])).is_err());
         assert!(parse(&argv(&["analyze", "d.v", "--accel"])).is_err());
     }
 
@@ -1299,6 +1298,16 @@ mod tests {
         };
         assert_eq!(o.addr, "127.0.0.1:7272");
         assert!(parse(&argv(&["shutdown", "j-000001"])).is_err());
+    }
+
+    #[test]
+    fn help_in_any_spelling_asks_for_usage() {
+        for spelling in ["help", "--help", "-h"] {
+            assert!(
+                matches!(parse(&argv(&[spelling])), Ok(Command::Help)),
+                "{spelling}"
+            );
+        }
     }
 
     #[test]

@@ -178,6 +178,16 @@ fn inject_output_is_identical_across_thread_counts() {
 }
 
 #[test]
+fn help_prints_usage_to_stdout_and_succeeds() {
+    for spelling in ["--help", "-h", "help"] {
+        let (stdout, stderr, ok) = run(&[spelling]);
+        assert!(ok, "{spelling}: {stderr}");
+        assert!(stdout.starts_with("usage: socfmea"), "{spelling}");
+        assert!(stderr.is_empty(), "{spelling}: {stderr}");
+    }
+}
+
+#[test]
 fn errors_are_reported_cleanly() {
     let (_, stderr, ok) = run(&["analyze", "/nonexistent/file.v"]);
     assert!(!ok);

@@ -71,7 +71,7 @@ fn strided_stuck_list(netlist: &Netlist, stride: usize, cap: usize) -> Vec<Fault
 }
 
 /// Runs baseline and collapsed campaigns over the same environment and
-/// asserts bit-identity, serial, sharded and composed with `--accel`.
+/// asserts bit-identity, serial, sharded and composed with the sparse engine.
 fn assert_differential(
     design: &str,
     netlist: &Netlist,

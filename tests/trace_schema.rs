@@ -314,7 +314,8 @@ fn accel_collapse_trace_matches_baseline_outcomes_and_reaggregates() {
         "--quiet",
         "--threads",
         "2",
-        "--accel",
+        "--engine",
+        "sparse",
         "--collapse",
         "--trace-out",
         trace.to_str().unwrap(),
