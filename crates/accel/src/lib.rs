@@ -25,9 +25,11 @@
 //!    divergent flip-flop state and no fault hook remains — the rest of the
 //!    run is then classified straight from the golden trace.
 //!
-//! The campaign integration lives in `socfmea-faultsim` (opt in with
-//! `Campaign::engine(Engine::Sparse)`); this crate holds the engine itself
-//! and knows nothing about faults models beyond force/pulse/flip hooks.
+//! The campaign integration lives in `socfmea-faultsim`: every engine
+//! there reads its golden values from one [`GoldenTrace`], and
+//! `Campaign::engine(Engine::Sparse)` opts in to the warm-start and sparse
+//! paths. This crate holds the engine itself and knows nothing about fault
+//! models beyond force/pulse/flip hooks.
 
 pub mod golden;
 pub mod sparse;

@@ -1,11 +1,15 @@
-//! Accelerated campaign execution: checkpointed warm starts and
-//! divergence-set propagation, with bit-identical outcomes.
+//! The campaign's shared execution context and the accelerated per-fault
+//! paths: checkpointed warm starts and divergence-set propagation, with
+//! bit-identical outcomes.
 //!
-//! Opt in with [`Campaign::engine`](crate::Campaign::engine)
-//! ([`Engine::Sparse`]). The
-//! campaign then records one [`GoldenTrace`] (full per-cycle value matrix
-//! plus periodic checkpoints) instead of the baseline's monitor-column
-//! trace, and each fault takes one of two exact fast paths:
+//! Every engine runs on one [`ExecContext`]: one [`GoldenTrace`] (the full
+//! per-cycle value matrix plus periodic checkpoints), the propagation
+//! [`Topology`] and per-net monitor lookups, recorded once per campaign.
+//! The lockstep reference ([`simulate_one`]) reads its golden values
+//! from that matrix; the PPSFP engine's word lanes need no shared state,
+//! and the faults it cannot batch fall back to the lockstep path. Opt in
+//! to the accelerated paths with [`Campaign::engine`](crate::Campaign::engine)
+//! ([`Engine::Sparse`]); each fault then takes one of two exact fast paths:
 //!
 //! * **Sparse** (bit flips, stuck-ats, glitches): the fault's effect is a
 //!   pure state override, so the faulty run equals golden until the
@@ -21,20 +25,17 @@
 //!   and the flip-flop state matches golden again.
 //!
 //! Both paths observe SENS/OBSE/output/alarm events under exactly the same
-//! conditions as [`simulate_one`](crate::inject::simulate_one) — the
-//! differential tests in this module and `tests/prop_accel.rs` assert
-//! bit-identical [`FaultOutcome`]s on every fault kind.
+//! conditions as [`simulate_one`] — the differential tests in this module
+//! and `tests/prop_accel.rs` assert bit-identical [`FaultOutcome`]s on
+//! every fault kind.
 
 use crate::campaign::Engine;
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
-use crate::inject::{
-    apply_fault, finalize_outcome, prepare_context, simulate_one, target_net, CampaignContext,
-    FaultOutcome,
-};
+use crate::inject::{apply_fault, finalize_outcome, simulate_one, target_net, FaultOutcome};
 use socfmea_accel::{GoldenTrace, SparseSim, Topology};
 use socfmea_core::ZoneId;
-use socfmea_netlist::{Logic, NetId, Netlist};
+use socfmea_netlist::Logic;
 use socfmea_sim::Simulator;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,173 +72,120 @@ impl Default for FaultMetrics {
     }
 }
 
-/// Everything the accelerated path shares across faults: the golden trace
-/// with its checkpoint store, the propagation topology, and per-net monitor
-/// lookups. Immutable after construction; worker threads share it by
-/// reference (each worker owns its own [`SparseSim`] kernel).
-pub(crate) struct AccelContext {
+/// Everything a campaign shares across faults, fixed at [`Campaign::run`]
+/// time and the same for every engine: the golden trace with its
+/// checkpoint store, the propagation topology, per-net monitor lookups and
+/// the zones the fault list targets. Immutable after construction; worker
+/// threads share it by reference (each worker owns its own simulators).
+///
+/// [`Campaign::run`]: crate::Campaign::run
+pub(crate) struct ExecContext {
     pub(crate) trace: GoldenTrace,
     pub(crate) topo: Topology,
     /// Zone of each observation net (by net index), `None` elsewhere.
     obs_zone: Vec<Option<ZoneId>>,
     is_output: Vec<bool>,
     is_alarm: Vec<bool>,
+    /// Zones the fault list targets (drives the coverage collection).
     pub(crate) injected_zones: BTreeSet<ZoneId>,
 }
 
-/// The campaign's shared execution context, fixed at [`Campaign::run`]
-/// time: the lockstep one (monitor-column golden trace) or the accelerated
-/// one. The PPSFP engine runs on the lockstep context — its word-lane
-/// kernel needs no shared state, and faults that cannot ride a word lane
-/// (and the collapse planner) use the lockstep trace.
-///
-/// [`Campaign::run`]: crate::Campaign::run
-pub(crate) enum ExecContext {
-    Lockstep(CampaignContext),
-    Accel(AccelContext),
-}
-
 impl ExecContext {
-    /// Prepares the context for `env`/`faults` under the chosen (already
-    /// resolved — never [`Engine::Auto`]) strategy.
+    /// Records the golden trace (with checkpoints every
+    /// `checkpoint_interval` cycles) and builds the monitor lookups for
+    /// `env`/`faults`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist cannot be levelized.
     pub(crate) fn prepare(
         env: &Environment<'_>,
         faults: &[Fault],
-        engine: Engine,
         checkpoint_interval: usize,
     ) -> ExecContext {
-        match engine {
-            Engine::Lockstep | Engine::Ppsfp => ExecContext::Lockstep(prepare_context(env, faults)),
-            Engine::Sparse => {
-                ExecContext::Accel(prepare_accel_context(env, faults, checkpoint_interval))
-            }
-            Engine::Auto => unreachable!("Engine::Auto is resolved before context preparation"),
+        let trace = GoldenTrace::record(env.netlist, env.workload, checkpoint_interval)
+            .expect("levelizable netlist");
+        let topo = Topology::build(env.netlist).expect("levelizable netlist");
+        let n = env.netlist.net_count();
+        let mut obs_zone = vec![None; n];
+        for &net in &env.observation_nets {
+            obs_zone[net.index()] = env.zone_of_net(net);
         }
-    }
-
-    /// Zones the fault list targets (drives the coverage collection).
-    pub(crate) fn injected_zones(&self) -> &BTreeSet<ZoneId> {
-        match self {
-            ExecContext::Lockstep(c) => &c.injected_zones,
-            ExecContext::Accel(a) => &a.injected_zones,
+        let mut is_output = vec![false; n];
+        for &net in &env.functional_outputs {
+            is_output[net.index()] = true;
         }
-    }
-
-    /// The per-worker sparse kernel, if this context is accelerated.
-    pub(crate) fn make_sparse<'c>(&'c self, netlist: &'c Netlist) -> Option<SparseSim<'c>> {
-        match self {
-            ExecContext::Lockstep(_) => None,
-            ExecContext::Accel(a) => Some(SparseSim::new(netlist, &a.topo, &a.trace)),
+        let mut is_alarm = vec![false; n];
+        for &net in &env.alarm_nets {
+            is_alarm[net.index()] = true;
         }
-    }
-
-    /// Golden value of a fault-targeted net at a cycle, from whichever
-    /// trace this context carries (the collapse planner needs it to
-    /// reproduce the SENS monitor's target-excitation check).
-    pub(crate) fn golden_value(&self, cycle: usize, net: NetId) -> Logic {
-        match self {
-            ExecContext::Lockstep(c) => c.golden_target(cycle, net),
-            ExecContext::Accel(a) => a.trace.value(cycle, net),
+        ExecContext {
+            trace,
+            topo,
+            obs_zone,
+            is_output,
+            is_alarm,
+            injected_zones: faults.iter().filter_map(|f| f.zone).collect(),
         }
     }
 
     /// Approximate resident size in bytes (the artifact cache's eviction
-    /// currency): the golden trace (matrix + checkpoints on the
-    /// accelerated path, monitor columns otherwise) plus the per-net
+    /// currency): the golden trace matrix and checkpoints plus the per-net
     /// monitor lookups.
     pub(crate) fn approx_bytes(&self, env: &Environment<'_>) -> usize {
-        match self {
-            ExecContext::Lockstep(c) => c.approx_bytes(),
-            ExecContext::Accel(a) => {
-                a.trace.matrix_bytes() + a.trace.checkpoint_bytes() + env.netlist.net_count() * 16
-            }
-        }
+        self.trace.matrix_bytes() + self.trace.checkpoint_bytes() + env.netlist.net_count() * 16
     }
 }
 
-/// Records the golden trace (with checkpoints) and builds the monitor
-/// lookups for the accelerated path.
+/// Runs one fault under the campaign's resolved `engine`. The outcome is
+/// bit-identical across engines; only the metrics differ.
 ///
-/// # Panics
-///
-/// Panics if the netlist cannot be levelized.
-pub(crate) fn prepare_accel_context(
-    env: &Environment<'_>,
-    faults: &[Fault],
-    checkpoint_interval: usize,
-) -> AccelContext {
-    let trace = GoldenTrace::record(env.netlist, env.workload, checkpoint_interval)
-        .expect("levelizable netlist");
-    let topo = Topology::build(env.netlist).expect("levelizable netlist");
-    let n = env.netlist.net_count();
-    let mut obs_zone = vec![None; n];
-    for &net in &env.observation_nets {
-        obs_zone[net.index()] = env.zone_of_net(net);
-    }
-    let mut is_output = vec![false; n];
-    for &net in &env.functional_outputs {
-        is_output[net.index()] = true;
-    }
-    let mut is_alarm = vec![false; n];
-    for &net in &env.alarm_nets {
-        is_alarm[net.index()] = true;
-    }
-    AccelContext {
-        trace,
-        topo,
-        obs_zone,
-        is_output,
-        is_alarm,
-        injected_zones: faults.iter().filter_map(|f| f.zone).collect(),
-    }
-}
-
-/// Runs one fault under the campaign's execution strategy. The outcome is
-/// bit-identical across strategies; only the metrics differ.
+/// Under PPSFP, batchable stuck-ats never reach this dispatcher (the
+/// campaign routes them through `ppsfp::simulate_batch`); whatever is left
+/// runs on the lockstep path, fault by fault, as it does under
+/// [`Engine::Lockstep`]. Under [`Engine::Sparse`], `sparse` must carry the
+/// worker's kernel.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_dispatch(
     env: &Environment<'_>,
     ctx: &ExecContext,
+    engine: Engine,
     sim: &mut Simulator<'_>,
     sparse: Option<&mut SparseSim<'_>>,
     fault_index: usize,
     fault: &Fault,
     cancel: Option<&AtomicBool>,
 ) -> (FaultOutcome, FaultMetrics) {
-    match ctx {
-        // Under PPSFP, batchable stuck-ats never reach this dispatcher (the
-        // campaign routes them through `ppsfp::simulate_batch`); whatever is
-        // left falls back to the lockstep path, fault by fault.
-        ExecContext::Lockstep(c) => {
-            let fo = simulate_one(env, c, sim, fault_index, fault, cancel);
-            let metrics = FaultMetrics {
-                simulated: env.workload.len() as u64,
-                skipped: 0,
-                engine: "lockstep",
-            };
-            (fo, metrics)
+    if engine != Engine::Sparse {
+        let fo = simulate_one(env, &ctx.trace, sim, fault_index, fault, cancel);
+        let metrics = FaultMetrics {
+            simulated: env.workload.len() as u64,
+            skipped: 0,
+            engine: "lockstep",
+        };
+        return (fo, metrics);
+    }
+    match fault.kind {
+        FaultKind::BitFlip { .. } | FaultKind::StuckAt { .. } | FaultKind::Glitch { .. } => {
+            simulate_sparse(
+                env,
+                ctx,
+                sparse.expect("sparse worker carries a sparse kernel"),
+                fault_index,
+                fault,
+                cancel,
+            )
         }
-        ExecContext::Accel(a) => match fault.kind {
-            FaultKind::BitFlip { .. } | FaultKind::StuckAt { .. } | FaultKind::Glitch { .. } => {
-                simulate_sparse(
-                    env,
-                    a,
-                    sparse.expect("accelerated worker carries a sparse kernel"),
-                    fault_index,
-                    fault,
-                    cancel,
-                )
-            }
-            FaultKind::Bridge { .. } | FaultKind::ClockStuck { .. } => {
-                simulate_warm(env, a, sim, fault_index, fault, cancel)
-            }
-        },
+        FaultKind::Bridge { .. } | FaultKind::ClockStuck { .. } => {
+            simulate_warm(env, ctx, sim, fault_index, fault, cancel)
+        }
     }
 }
 
 /// The sparse path: divergence-set propagation from the activation cycle.
 fn simulate_sparse(
     env: &Environment<'_>,
-    actx: &AccelContext,
+    ctx: &ExecContext,
     sparse: &mut SparseSim<'_>,
     fault_index: usize,
     fault: &Fault,
@@ -276,11 +224,11 @@ fn simulate_sparse(
             // scanning the (exact) divergence set observes the same events
             // as the baseline's full-width comparison.
             for &net in sparse.divergent() {
-                let golden = actx.trace.value(cycle, net);
+                let golden = ctx.trace.value(cycle, net);
                 if !sens_triggered && target == Some(net) && golden.is_known() {
                     sens_triggered = true;
                 }
-                if let Some(zone) = actx.obs_zone[net.index()] {
+                if let Some(zone) = ctx.obs_zone[net.index()] {
                     if golden.is_known() {
                         deviated_zones.insert(zone);
                         if Some(zone) == fault.zone {
@@ -288,13 +236,13 @@ fn simulate_sparse(
                         }
                     }
                 }
-                if first_mismatch.is_none() && actx.is_output[net.index()] && golden.is_known() {
+                if first_mismatch.is_none() && ctx.is_output[net.index()] && golden.is_known() {
                     first_mismatch = Some(cycle);
                 }
                 // divergent && faulty == 1 implies golden != 1, the exact
                 // baseline alarm condition
                 if alarm_cycle.is_none()
-                    && actx.is_alarm[net.index()]
+                    && ctx.is_alarm[net.index()]
                     && sparse.get(net) == Logic::One
                 {
                     alarm_cycle = Some(cycle);
@@ -324,7 +272,7 @@ fn simulate_sparse(
 /// checkpoint, monitor-free until activation, early exit on re-convergence.
 fn simulate_warm(
     env: &Environment<'_>,
-    actx: &AccelContext,
+    ctx: &ExecContext,
     sim: &mut Simulator<'_>,
     fault_index: usize,
     fault: &Fault,
@@ -332,7 +280,7 @@ fn simulate_warm(
 ) -> (FaultOutcome, FaultMetrics) {
     let len = env.workload.len();
     let inject = fault.inject_cycle;
-    let trace = &actx.trace;
+    let trace = &ctx.trace;
     let target = target_net(fault);
     let mut first_mismatch = None;
     let mut alarm_cycle = None;
@@ -373,8 +321,7 @@ fn simulate_warm(
             sim.eval();
             metrics.simulated += 1;
             if cycle >= inject {
-                // Same monitor block as the baseline, reading golden values
-                // from the trace matrix instead of per-monitor columns.
+                // Same monitor block as the lockstep reference.
                 if !sens_triggered {
                     if let Some(t) = target {
                         let g = trace.value(cycle, t);

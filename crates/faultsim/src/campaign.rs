@@ -645,8 +645,10 @@ fn obs_phase_opt<R>(observer: Option<&Observer>, name: &str, f: impl FnOnce() ->
 
 impl CampaignArtifacts {
     /// Builds every pre-injection artifact for a campaign over
-    /// `env`/`faults`: the execution context for the (resolved) `engine`,
-    /// plus the collapse dictionary and static prune plan when requested.
+    /// `env`/`faults`: the shared execution context (one golden trace for
+    /// every engine), plus the collapse dictionary and static prune plan
+    /// when requested. `engine` is resolved and stored so a run can check
+    /// that the artifacts match its settings.
     ///
     /// # Panics
     ///
@@ -687,11 +689,11 @@ impl CampaignArtifacts {
         let engine = engine.resolve_for(faults);
         let checkpoint_interval = checkpoint_interval.max(1);
         let ctx = obs_phase_opt(observer, "prepare", || {
-            ExecContext::prepare(env, faults, engine, checkpoint_interval)
+            ExecContext::prepare(env, faults, checkpoint_interval)
         });
         let prune_plan = (prune == Prune::Static && !faults.is_empty()).then(|| {
             obs_phase_opt(observer, "static-prune", || {
-                PrunePlan::build(env, faults, |cycle, net| ctx.golden_value(cycle, net))
+                PrunePlan::build(env, faults, |cycle, net| ctx.trace.value(cycle, net))
             })
         });
         let collapse_plan = (collapse == Collapse::Dictionary && !faults.is_empty()).then(|| {
@@ -700,7 +702,7 @@ impl CampaignArtifacts {
                     faults,
                     env.workload.len(),
                     &FaultCollapser::build(env),
-                    |cycle, net| ctx.golden_value(cycle, net),
+                    |cycle, net| ctx.trace.value(cycle, net),
                     |i| prune_plan.as_ref().is_some_and(|pp| pp.pruned(i)),
                 )
             })
@@ -859,7 +861,7 @@ impl<'a> Campaign<'a> {
     /// Default chunk size (faults claimed per worker grab).
     pub const DEFAULT_CHUNK: usize = 8;
 
-    /// Default checkpoint interval for [`Engine::Sparse`] campaigns.
+    /// Default checkpoint interval of the campaign's golden trace.
     pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 16;
 
     /// Prepares a campaign over `faults` in `env`, initially
@@ -926,10 +928,11 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Sets the sparse engine's checkpoint interval (0 is treated as 1):
-    /// smaller intervals shorten warm-start replays at the cost of
-    /// checkpoint memory. No effect unless the campaign runs on
-    /// [`Engine::Sparse`]; provably does not affect the result.
+    /// Sets the golden trace's checkpoint interval (0 is treated as 1).
+    /// Every engine records the same checkpointed trace; only
+    /// [`Engine::Sparse`] restores the checkpoints, where smaller intervals
+    /// shorten warm-start replays at the cost of checkpoint memory.
+    /// Provably does not affect the result.
     pub fn checkpoint_interval(mut self, cycles: usize) -> Self {
         self.checkpoint_interval = cycles.max(1);
         self
@@ -1067,12 +1070,10 @@ impl<'a> Campaign<'a> {
                     (self.collapse, self.prune),
                     "supplied artifacts use different collapse/prune settings"
                 );
-                if engine == Engine::Sparse {
-                    assert_eq!(
-                        a.checkpoint_interval, self.checkpoint_interval,
-                        "supplied artifacts use a different checkpoint interval"
-                    );
-                }
+                assert_eq!(
+                    a.checkpoint_interval, self.checkpoint_interval,
+                    "supplied artifacts use a different checkpoint interval"
+                );
                 a
             }
             None => {
@@ -1089,7 +1090,7 @@ impl<'a> Campaign<'a> {
             }
         };
         let hooks = self.observer.map(ObsHooks::new);
-        let mut coverage = CoverageCollection::new(art.ctx.injected_zones().iter().copied());
+        let mut coverage = CoverageCollection::new(art.ctx.injected_zones.iter().copied());
         self.stats.begin(self.faults.len(), self.threads);
         let outcomes = {
             let _campaign_span = self.observer.map(|obs| obs.span("campaign"));
@@ -1279,7 +1280,7 @@ impl<'a> Campaign<'a> {
     #[allow(clippy::too_many_arguments)]
     fn simulate_slice(
         &self,
-        ctx: &ExecContext,
+        art: &CampaignArtifacts,
         sim: &mut Simulator<'_>,
         mut sparse: Option<&mut SparseSim<'_>>,
         word: Option<&mut WordSim<'_>>,
@@ -1353,7 +1354,8 @@ impl<'a> Campaign<'a> {
             let t0 = Instant::now();
             let (fo, metrics) = simulate_dispatch(
                 self.env,
-                ctx,
+                &art.ctx,
+                art.engine,
                 sim,
                 sparse.as_deref_mut(),
                 fi,
@@ -1447,7 +1449,8 @@ impl<'a> Campaign<'a> {
         let work = |shard: usize, deliver: &mut dyn FnMut(usize, SimulatedChunk) -> bool| {
             let _shard_span = hooks.map(|h| h.obs.shard_span("campaign/shard", shard as u64));
             let mut sim = base.clone_fresh();
-            let mut sparse = ctx.make_sparse(self.env.netlist);
+            let mut sparse = (art.engine == Engine::Sparse)
+                .then(|| SparseSim::new(self.env.netlist, &ctx.topo, &ctx.trace));
             // cloning shares the levelization; each batch resets the
             // dynamic state anyway
             let mut word = base_word.clone();
@@ -1458,7 +1461,7 @@ impl<'a> Campaign<'a> {
                 };
                 let slice = &order[ci * chunk..(ci * chunk + chunk).min(n)];
                 let simulated = self.simulate_slice(
-                    ctx,
+                    art,
                     &mut sim,
                     sparse.as_mut(),
                     word.as_mut(),

@@ -9,6 +9,7 @@
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
 use crate::monitors::CoverageCollection;
+use socfmea_accel::GoldenTrace;
 use socfmea_core::ZoneId;
 use socfmea_netlist::{Logic, NetId};
 use socfmea_sim::Simulator;
@@ -123,73 +124,6 @@ impl CampaignResult {
     }
 }
 
-/// Per-cycle golden reference values.
-pub(crate) struct GoldenTrace {
-    obs: Vec<Vec<Logic>>,
-    outputs: Vec<Vec<Logic>>,
-    alarms: Vec<Vec<Logic>>,
-    /// Values of the faults' own target nets (for the SENS monitor).
-    targets: Vec<Vec<Logic>>,
-}
-
-/// Everything a campaign shares across faults: the golden trace, the SENS
-/// target-column lookup, and the set of zones the fault list targets.
-///
-/// Recorded once per campaign; immutable afterwards, so worker threads can
-/// share it by reference.
-pub(crate) struct CampaignContext {
-    golden: GoldenTrace,
-    target_col: std::collections::BTreeMap<NetId, usize>,
-    pub(crate) injected_zones: BTreeSet<ZoneId>,
-}
-
-impl CampaignContext {
-    /// Golden value of a fault-targeted net at a cycle (the SENS monitor's
-    /// reference; used by the collapse planner to reproduce target
-    /// excitation without re-simulating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is not a target of any fault in the campaign.
-    pub(crate) fn golden_target(&self, cycle: usize, net: NetId) -> Logic {
-        self.golden.targets[cycle][self.target_col[&net]]
-    }
-
-    /// Approximate resident size in bytes (the artifact cache's eviction
-    /// currency): the four golden monitor-column matrices plus the SENS
-    /// lookup.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let per_cycle = self.golden.obs.first().map_or(0, Vec::len)
-            + self.golden.outputs.first().map_or(0, Vec::len)
-            + self.golden.alarms.first().map_or(0, Vec::len)
-            + self.golden.targets.first().map_or(0, Vec::len);
-        self.golden.obs.len() * per_cycle + self.target_col.len() * 24
-    }
-}
-
-/// Records the golden trace and SENS lookup for `faults` over `env`.
-///
-/// # Panics
-///
-/// Panics if the netlist cannot be levelized.
-pub(crate) fn prepare_context(env: &Environment<'_>, faults: &[Fault]) -> CampaignContext {
-    let mut target_nets: Vec<NetId> = faults.iter().filter_map(target_net).collect();
-    target_nets.sort_unstable();
-    target_nets.dedup();
-    let target_col = target_nets
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
-    let golden = record_golden(env, &target_nets);
-    let injected_zones = faults.iter().filter_map(|f| f.zone).collect();
-    CampaignContext {
-        golden,
-        target_col,
-        injected_zones,
-    }
-}
-
 /// The net a fault physically disturbs (used by the SENS monitor to decide
 /// whether the injection actually changed anything).
 pub(crate) fn target_net(fault: &Fault) -> Option<NetId> {
@@ -198,31 +132,6 @@ pub(crate) fn target_net(fault: &Fault) -> Option<NetId> {
         FaultKind::Bridge { victim, .. } => Some(*victim),
         FaultKind::BitFlip { .. } | FaultKind::ClockStuck { .. } => None,
     }
-}
-
-fn record_golden(env: &Environment<'_>, target_nets: &[NetId]) -> GoldenTrace {
-    let mut sim = Simulator::new(env.netlist).expect("levelizable netlist");
-    let mut trace = GoldenTrace {
-        obs: Vec::with_capacity(env.workload.len()),
-        outputs: Vec::with_capacity(env.workload.len()),
-        alarms: Vec::with_capacity(env.workload.len()),
-        targets: Vec::with_capacity(env.workload.len()),
-    };
-    env.workload.run(&mut sim, |_, s| {
-        trace
-            .obs
-            .push(env.observation_nets.iter().map(|&n| s.get(n)).collect());
-        trace
-            .outputs
-            .push(env.functional_outputs.iter().map(|&n| s.get(n)).collect());
-        trace
-            .alarms
-            .push(env.alarm_nets.iter().map(|&n| s.get(n)).collect());
-        trace
-            .targets
-            .push(target_nets.iter().map(|&n| s.get(n)).collect());
-    });
-    trace
 }
 
 pub(crate) fn apply_fault(sim: &mut Simulator<'_>, fault: &Fault) -> Option<usize> {
@@ -255,25 +164,25 @@ pub(crate) fn apply_fault(sim: &mut Simulator<'_>, fault: &Fault) -> Option<usiz
     }
 }
 
-/// Runs one fault lockstep against the shared golden trace, classifying the
-/// outcome.
+/// Runs one fault lockstep against the campaign's golden trace, classifying
+/// the outcome. This is the reference engine: a full simulation from
+/// power-on, comparing every monitor every cycle.
 ///
 /// `sim` is reused across calls: the function resets it to power-on first,
 /// so a campaign worker pays the levelization cost once (via
 /// [`Simulator::clone_fresh`]) and only the cheap state reset per fault.
-/// The result is a pure function of `(env, ctx, fault)` — it does not
+/// The result is a pure function of `(env, golden, fault)` — it does not
 /// depend on what the simulator ran before, which is what makes sharded
 /// campaigns bit-identical to serial ones.
 pub(crate) fn simulate_one(
     env: &Environment<'_>,
-    ctx: &CampaignContext,
+    golden: &GoldenTrace,
     sim: &mut Simulator<'_>,
     fault_index: usize,
     fault: &Fault,
     cancel: Option<&std::sync::atomic::AtomicBool>,
 ) -> FaultOutcome {
     sim.reset_to_power_on();
-    let golden = &ctx.golden;
     let mut first_mismatch = None;
     let mut alarm_cycle = None;
     let mut deviated_zones = BTreeSet::new();
@@ -301,16 +210,15 @@ pub(crate) fn simulate_one(
         // SENS: did the injection physically disturb its target net?
         if !sens_triggered {
             if let Some(t) = target_net(fault) {
-                let col = ctx.target_col[&t];
-                let g = golden.targets[cycle][col];
+                let g = golden.value(cycle, t);
                 if g.is_known() && sim.get(t) != g {
                     sens_triggered = true;
                 }
             }
         }
         // OBSE: observation-point deviations
-        for (oi, &net) in env.observation_nets.iter().enumerate() {
-            let g = golden.obs[cycle][oi];
+        for &net in &env.observation_nets {
+            let g = golden.value(cycle, net);
             let f = sim.get(net);
             if g.is_known() && f != g {
                 if let Some(zone) = env.zone_of_net(net) {
@@ -323,8 +231,8 @@ pub(crate) fn simulate_one(
         }
         // functional outputs
         if first_mismatch.is_none() {
-            for (oi, &net) in env.functional_outputs.iter().enumerate() {
-                let g = golden.outputs[cycle][oi];
+            for &net in &env.functional_outputs {
+                let g = golden.value(cycle, net);
                 if g.is_known() && sim.get(net) != g {
                     first_mismatch = Some(cycle);
                     break;
@@ -333,9 +241,8 @@ pub(crate) fn simulate_one(
         }
         // alarms
         if alarm_cycle.is_none() {
-            for (ai, &net) in env.alarm_nets.iter().enumerate() {
-                let g = golden.alarms[cycle][ai];
-                if sim.get(net) == Logic::One && g != Logic::One {
+            for &net in &env.alarm_nets {
+                if sim.get(net) == Logic::One && golden.value(cycle, net) != Logic::One {
                     alarm_cycle = Some(cycle);
                     break;
                 }

@@ -204,8 +204,10 @@ pub(crate) fn simulate_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accel::ExecContext;
+    use crate::campaign::Campaign;
     use crate::env::EnvironmentBuilder;
-    use crate::inject::{prepare_context, simulate_one};
+    use crate::inject::simulate_one;
     use socfmea_core::extract::{extract_zones, ExtractConfig};
     use socfmea_netlist::Driver;
     use socfmea_rtl::RtlBuilder;
@@ -272,7 +274,7 @@ mod tests {
             .build();
         let faults = stuck_list(&nl);
         assert!(faults.len() > FAULT_LANES, "want more than one batch");
-        let ctx = prepare_context(&env, &faults);
+        let ctx = ExecContext::prepare(&env, &faults, Campaign::DEFAULT_CHECKPOINT_INTERVAL);
         let mut sim = Simulator::new(&nl).unwrap();
         let mut word = WordSim::new(&nl).unwrap();
         for chunk in faults
@@ -283,7 +285,7 @@ mod tests {
         {
             let got = simulate_batch(&env, &mut word, chunk, None);
             for (&(fi, fault), fo) in chunk.iter().zip(&got) {
-                let want = simulate_one(&env, &ctx, &mut sim, fi, fault, None);
+                let want = simulate_one(&env, &ctx.trace, &mut sim, fi, fault, None);
                 assert_eq!(&want, fo, "fault #{fi} ({}) diverges", fault.label);
             }
         }

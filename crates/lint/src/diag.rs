@@ -7,6 +7,7 @@
 //! line-oriented JSON document for tools — both hand-rolled, since the
 //! build environment carries no serialization dependency.
 
+use socfmea_obs::json::Value;
 use std::fmt;
 
 /// How serious a finding is.
@@ -156,36 +157,19 @@ impl Diagnostic {
     /// Renders the finding as one JSON object.
     pub fn render_json(&self) -> String {
         let mut s = format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"anchor\":{{\"kind\":\"{}\",\"name\":\"{}\"}},\"message\":\"{}\"",
+            "{{\"code\":\"{}\",\"severity\":\"{}\",\"anchor\":{{\"kind\":\"{}\",\"name\":{}}},\"message\":{}",
             self.code,
             self.severity,
             self.anchor.kind(),
-            json_escape(&self.anchor.location()),
-            json_escape(&self.message),
+            Value::Str(self.anchor.location()),
+            Value::Str(self.message.clone()),
         );
         if let Some(help) = &self.help {
-            s.push_str(&format!(",\"help\":\"{}\"", json_escape(help)));
+            s.push_str(&format!(",\"help\":{}", Value::Str(help.clone())));
         }
         s.push('}');
         s
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -329,6 +329,12 @@ impl NetlistBuilder {
         }
     }
 
+    /// Whether a construction error has been recorded (lets the Verilog
+    /// reader blame it on the instance that caused it).
+    pub(crate) fn has_error(&self) -> bool {
+        self.error.is_some()
+    }
+
     fn record_error(&mut self, e: NetlistError) {
         if self.error.is_none() {
             self.error = Some(e);

@@ -31,9 +31,14 @@
 use crate::gate::GateKind;
 use crate::ids::NetId;
 use crate::logic::Logic;
-use crate::netlist::{CriticalNetKind, Driver, Netlist, NetlistBuilder, NetlistError};
+use crate::netlist::{CriticalNetKind, Driver, Netlist, NetlistBuilder};
 use std::error::Error;
 use std::fmt;
+
+/// Most nets the declarations of one module may create. A `[msb:lsb]`
+/// range expands to one net per bit, so a few bytes of text could otherwise
+/// ask for billions of nets; the limit is checked before a range expands.
+const MAX_DECLARED_NETS: usize = 1 << 16;
 
 /// Error parsing the structural Verilog subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,15 +60,6 @@ impl fmt::Display for ParseVerilogError {
 }
 
 impl Error for ParseVerilogError {}
-
-impl From<NetlistError> for ParseVerilogError {
-    fn from(e: NetlistError) -> Self {
-        ParseVerilogError {
-            line: 0,
-            message: e.to_string(),
-        }
-    }
-}
 
 #[derive(Debug, Clone, PartialEq)]
 struct Token {
@@ -294,8 +290,8 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
     // Outputs must be driven by an instance; remember them and their source
     // net so a final `output` call wires them up. In this subset an output
     // is simply a wire that an instance drives directly, so we instead track
-    // outputs and mark them at the end.
-    let mut output_names: Vec<String> = Vec::new();
+    // outputs (with their declaration line) and mark them at the end.
+    let mut output_names: Vec<(String, usize)> = Vec::new();
     // wires/outputs are created lazily when first referenced, as
     // placeholder nets that an instance later drives. Since the builder
     // assigns drivers at gate creation, we create "forward" nets through a
@@ -344,6 +340,17 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
                         p.expect("]")?;
                         scalar_name = format!("{}[{bit}]", id.text);
                     }
+                    let width = range.map_or(1, |(msb, lsb)| msb.abs_diff(lsb) as usize + 1);
+                    if declared.len() + width > MAX_DECLARED_NETS {
+                        return Err(ParseVerilogError {
+                            line: id.line,
+                            message: format!(
+                                "declaring `{}` ({width} nets) exceeds the limit of \
+                                 {MAX_DECLARED_NETS} declared nets",
+                                id.text
+                            ),
+                        });
+                    }
                     let names: Vec<String> = match range {
                         None => vec![scalar_name],
                         Some((msb, lsb)) => {
@@ -368,7 +375,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
                             }
                             created.insert(n, net);
                         } else if kind == DeclKind::Output {
-                            output_names.push(n);
+                            output_names.push((n, id.line));
                         }
                     }
                     if p.peek().map(|t| t.text.as_str()) == Some(",") {
@@ -436,6 +443,9 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
         created.insert(q.clone(), net);
     }
 
+    // Line of the instance behind the builder's first construction error.
+    let mut error_line: Option<usize> = None;
+
     // Tie cells: `tie0 name(net);` / `tie1 name(net);` drive a constant.
     for inst in instances
         .iter()
@@ -458,6 +468,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
         let c = builder.constant(value);
         let net = builder.gate(GateKind::Buf, &[c], inst.args[0].clone());
         created.insert(inst.args[0].clone(), net);
+        blame(&builder, &mut error_line, inst.line);
     }
 
     let mut remaining: Vec<&Instance> = instances
@@ -487,6 +498,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
             // the instance's own name.
             let net = builder.gate(kind, &input_ids, out.clone());
             created.insert(out.clone(), net);
+            blame(&builder, &mut error_line, inst.line);
             false
         });
         if remaining.len() == before {
@@ -602,17 +614,31 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
     // instance; `NetlistBuilder::output` adds a port buffer, which would
     // rename the net, so outputs are instead registered through the driven
     // net itself.
-    for name in output_names {
+    for (name, line) in output_names {
         let Some(&net) = created.get(&name) else {
             return Err(ParseVerilogError {
-                line: 0,
+                line,
                 message: format!("output `{name}` is never driven"),
             });
         };
         builder.register_output_port(net);
     }
 
-    Ok(builder.finish()?)
+    // Construction errors (a second driver, a bad arity) cite the instance
+    // that caused them; anything else the closing `endmodule`.
+    let end_line = p.line();
+    builder.finish().map_err(|e| ParseVerilogError {
+        line: error_line.unwrap_or(end_line),
+        message: e.to_string(),
+    })
+}
+
+/// Records `line` as the source of the builder's first construction error,
+/// if the instance on it just caused one.
+fn blame(builder: &NetlistBuilder, error_line: &mut Option<usize>, line: usize) {
+    if error_line.is_none() && builder.has_error() {
+        *error_line = Some(line);
+    }
 }
 
 /// Serialises a netlist into the structural Verilog subset accepted by
@@ -760,6 +786,38 @@ mod tests {
         assert_eq!(nl.inputs().len(), 4);
         assert_eq!(nl.outputs().len(), 2);
         assert!(nl.net_by_name("d[3]").is_some());
+    }
+
+    #[test]
+    fn oversized_ranges_are_rejected_before_expansion() {
+        let src = "module big(a, y);\ninput [99999999:0] a;\noutput y;\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("100000000 nets"), "{err}");
+        // the limit counts every declaration, not just the widest one
+        let wide = MAX_DECLARED_NETS / 2;
+        let src = format!(
+            "module big(a, b, y);\ninput [{}:0] a;\ninput [{}:0] b;\nendmodule",
+            wide - 1,
+            wide
+        );
+        assert_eq!(parse_verilog(&src).unwrap_err().line, 3);
+    }
+
+    #[test]
+    fn second_driver_cites_its_instance() {
+        let src = "module d(a, y);\ninput a;\noutput y;\nbuf g0(y, a);\nnot g1(y, a);\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.line, 5, "{err}");
+        assert!(err.message.contains("duplicate name `y`"), "{err}");
+    }
+
+    #[test]
+    fn undriven_output_cites_its_declaration() {
+        let src = "module u(a, y, z);\ninput a;\noutput y;\noutput z;\nbuf g0(y, a);\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        assert!(err.message.contains("`z` is never driven"), "{err}");
     }
 
     #[test]

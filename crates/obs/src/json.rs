@@ -200,6 +200,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -296,18 +297,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| ParseError {
-                            offset: self.pos,
-                            message: "invalid UTF-8".into(),
-                        })?
-                        .chars()
-                        .next()
-                        .expect("peeked non-empty");
-                    out.push(s);
-                    self.pos += s.len_utf8();
+                    // Copy the run up to the next quote or escape at once.
+                    // Every token before it is ASCII, so `pos` sits on a
+                    // char boundary of the (valid UTF-8) input.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -399,6 +395,7 @@ impl<'a> Parser<'a> {
 /// Returns a [`ParseError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -430,6 +427,14 @@ mod tests {
         ] {
             assert_eq!(parse(&v.to_string()).unwrap(), v, "{v}");
         }
+    }
+
+    #[test]
+    fn multi_byte_scalars_next_to_escapes_decode() {
+        let text = r#""\"ü\u00e9€\n𝄞\\ñ""#;
+        assert_eq!(parse(text).unwrap(), Value::Str("\"ü\u{e9}€\n𝄞\\ñ".into()));
+        let v = Value::Str("€\"𝄞\t\u{1}ß".into());
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
     }
 
     #[test]

@@ -8,11 +8,16 @@
 //! on the hardened and baseline F-MEM memory subsystems and on the
 //! lockstep and single-core MCUs.
 //!
+//! Every engine reads its golden values from one `GoldenTrace`, so each
+//! design first pins that trace, row by row, to a plain simulation of the
+//! same workload.
+//!
 //! Kept deliberately small (reduced memory size, modest fault lists) so the
 //! suite stays fast in debug builds; the CI `accel-differential` job also
 //! runs it under `--release` together with a `bench_accel --quick` smoke
 //! run.
 
+use soc_fmea::accel::GoldenTrace;
 use soc_fmea::faultsim::{
     generate_fault_list, Campaign, CampaignResult, Engine, EnvironmentBuilder, FaultListConfig,
     OperationalProfile,
@@ -23,7 +28,7 @@ use soc_fmea::memsys::{
     certification_workload, fmea as memsys_fmea, rtl, MemSysConfig, MemSysPins,
 };
 use soc_fmea::netlist::Netlist;
-use soc_fmea::sim::Workload;
+use soc_fmea::sim::{Simulator, Workload};
 
 /// A fault list exercising every fault kind, small enough for debug builds.
 fn fault_config() -> FaultListConfig {
@@ -40,6 +45,21 @@ fn fault_config() -> FaultListConfig {
     }
 }
 
+/// Asserts that every row of the recorded golden trace equals the net
+/// values of a plain simulation under `Workload::run`.
+fn assert_golden_trace_matches_simulation(design: &str, netlist: &Netlist, workload: &Workload) {
+    let trace = GoldenTrace::record(netlist, workload, Campaign::DEFAULT_CHECKPOINT_INTERVAL)
+        .expect("levelizable netlist");
+    assert_eq!(trace.len(), workload.len(), "{design}: trace length");
+    let mut sim = Simulator::new(netlist).expect("levelizable netlist");
+    workload.run(&mut sim, |cycle, s| {
+        assert!(
+            trace.row(cycle) == s.values(),
+            "{design}: golden trace diverges from simulation at cycle {cycle}"
+        );
+    });
+}
+
 /// Runs baseline and accelerated campaigns over the same environment and
 /// asserts bit-identity at two checkpoint intervals.
 fn assert_differential(
@@ -49,6 +69,7 @@ fn assert_differential(
     workload: &Workload,
     sw_test_window: Option<(usize, usize)>,
 ) {
+    assert_golden_trace_matches_simulation(design, netlist, workload);
     let env = EnvironmentBuilder::new(netlist, zones, workload)
         .alarms_matching("alarm_")
         .sw_test_window(sw_test_window)
